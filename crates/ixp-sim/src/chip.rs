@@ -4,20 +4,22 @@
 //! The paper's throughput numbers (§11) come from the whole IXP1200 — six
 //! micro-engines, four hardware contexts each, all contending for one
 //! SRAM, one SDRAM, and one scratch channel. This module scales the
-//! single-engine model of [`crate::sim`] to that chip, with two design
-//! goals:
+//! single-engine model of [`crate::sim`] to that chip. Every engine runs
+//! the one interpreter of [`crate::engine`]; only its port differs. Here
+//! the port is a per-engine request queue, with two design goals:
 //!
 //! 1. **Deterministic at any host parallelism.** The simulation advances
 //!    in fixed *cycle slices* (arbitration epochs). Within a slice every
 //!    engine executes independently — it touches only its own contexts and
-//!    registers, and *emits* shared-resource requests (memory references,
-//!    packet rx/tx, test-and-set) instead of applying them. At the slice
-//!    barrier a single arbiter resolves all requests in a canonical total
-//!    order — `(issue_cycle, engine, context, sequence)` — against the
-//!    [`ixp_machine::channel`] bus model and the shared [`SimMemory`].
-//!    Because intra-slice work is engine-local and the barrier is serial,
-//!    results are bit-identical whether the slice work runs on 1 or 16
-//!    host threads.
+//!    registers, and *queues* shared-resource requests (memory references,
+//!    CSR accesses, packet rx/tx, test-and-set) instead of applying them.
+//!    At the slice barrier a single arbiter replays all requests in a
+//!    canonical total order — `(issue_cycle, engine, context, sequence)` —
+//!    into the immediate port the single-engine simulator runs at issue,
+//!    against the [`ixp_machine::channel`] bus model and the shared
+//!    [`SimMemory`]. Because intra-slice work is engine-local and
+//!    the barrier is serial, results are bit-identical whether the slice
+//!    work runs on 1 or 16 host threads.
 //!
 //! 2. **Faithful contention.** The arbiter charges the same burst/latency
 //!    costs as the single-engine simulator; a context that issued a read
@@ -36,16 +38,11 @@
 //! canonical order above — deterministic, though not cycle-exact against
 //! hardware.
 
-use crate::engine::{advance_idle, earliest_wake, resolve_addr, RegFile, ThreadState};
-use crate::machine::{RxGrant, SimMemory};
-use crate::sim::{
-    emit_result_obs, finish_result, EngineStats, SimError, SimMode, SimResult, StopReason,
-};
+use crate::engine::{advance_idle, Ctx, Engine, Issue, Port, Shared, ThreadState};
+use crate::machine::SimMemory;
+use crate::sim::{emit_result_obs, EngineStats, SimError, SimMode, SimResult, StopReason};
 use ixp_machine::channel::{Channel, ChannelFaults};
-use ixp_machine::timing::{issue_cycles, read_latency, BRANCH_TAKEN_PENALTY, HASH_CYCLES};
-use ixp_machine::units::hash_unit;
-use ixp_machine::{AluSrc, Bank, BlockId, Instr, MemSpace, PhysReg, Program, Terminator};
-use std::collections::HashMap;
+use ixp_machine::{MemSpace, PhysReg, Program};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -240,13 +237,12 @@ impl ChipConfig {
     }
 }
 
-/// A shared-resource request emitted by an engine during a slice and
+/// A shared-resource request queued by an engine during a slice and
 /// resolved by the arbiter at the barrier.
 #[derive(Debug)]
 struct Request {
-    issue: u64,
+    at: Issue,
     engine: usize,
-    ctx: usize,
     seq: u64,
     kind: ReqKind,
 }
@@ -286,301 +282,106 @@ enum ReqKind {
     },
 }
 
-struct Ctx {
-    regs: RegFile,
-    block: BlockId,
-    pc: usize,
-    state: ThreadState,
-}
-
-/// One micro-engine's private state. During a slice only its owning host
-/// worker touches it; between barriers only the arbiter does.
-struct Engine {
-    id: usize,
-    cycle: u64,
-    ctxs: Vec<Ctx>,
-    current: usize,
+/// An engine's deferred [`Port`]: every shared-resource operation becomes
+/// a request for the barrier arbiter. Reads, test-and-set, CSR reads and
+/// rx swap the context out as `Pending` until the barrier resolves them
+/// (so an rx that finds the stream empty still counts a swap-out); writes,
+/// CSR writes and tx are posted and the context keeps running.
+struct Queue {
+    engine: usize,
     seq: u64,
     requests: Vec<Request>,
-    stats: EngineStats,
-    error: Option<SimError>,
 }
 
-impl Engine {
-    fn new(id: usize, prog: &Program<PhysReg>, contexts: usize) -> Self {
-        Engine {
-            id,
-            cycle: 0,
-            ctxs: (0..contexts.max(1))
-                .map(|_| Ctx {
-                    regs: RegFile::new(),
-                    block: prog.entry,
-                    pc: 0,
-                    state: ThreadState::Ready,
-                })
-                .collect(),
-            current: 0,
-            seq: 0,
-            requests: Vec::new(),
-            stats: EngineStats::new(id),
-            error: None,
-        }
-    }
-
-    fn all_halted(&self) -> bool {
-        self.ctxs.iter().all(|c| c.state == ThreadState::Halted)
-    }
-
-    fn push(&mut self, issue: u64, ctx: usize, kind: ReqKind) {
-        let seq = self.seq;
-        self.seq += 1;
+impl Queue {
+    fn push(&mut self, at: Issue, kind: ReqKind) {
         self.requests.push(Request {
-            issue,
-            engine: self.id,
-            ctx,
-            seq,
+            at,
+            engine: self.engine,
+            seq: self.seq,
             kind,
         });
+        self.seq += 1;
+    }
+
+    fn defer(&mut self, at: Issue, ctx: &mut Ctx, kind: ReqKind) {
+        ctx.state = ThreadState::Pending;
+        self.push(at, kind);
     }
 }
 
-/// Execute one engine up to `slice_end`. Pure engine-local: reads the
-/// program, mutates only this engine, and queues shared-resource requests
-/// for the barrier arbiter.
-fn run_slice(e: &mut Engine, prog: &Program<PhysReg>, slice_end: u64) {
-    if e.error.is_some() || e.all_halted() {
-        return;
-    }
-    loop {
-        if e.cycle >= slice_end {
-            return;
-        }
-        // Pick the next runnable context (round robin from `current`).
-        let mut picked = None;
-        for off in 0..e.ctxs.len() {
-            let i = (e.current + off) % e.ctxs.len();
-            match e.ctxs[i].state {
-                ThreadState::Ready => {
-                    picked = Some(i);
-                    break;
-                }
-                ThreadState::Blocked(until) if until <= e.cycle => {
-                    e.ctxs[i].state = ThreadState::Ready;
-                    picked = Some(i);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let Some(ti) = picked else {
-            if e.all_halted() {
-                if e.stats.halt_cycle == 0 {
-                    e.stats.halt_cycle = e.cycle;
-                }
-                return;
-            }
-            // Runnable later this slice? Advance to the earliest wake-up;
-            // otherwise idle out the slice (wake-ups beyond it, or
-            // requests pending at the barrier).
-            match earliest_wake(e.ctxs.iter().map(|c| &c.state)) {
-                Some(u) if u < slice_end => {
-                    let target = u.max(e.cycle + 1);
-                    advance_idle(&mut e.cycle, &mut e.stats.idle_cycles, target);
-                    continue;
-                }
-                _ => {
-                    advance_idle(&mut e.cycle, &mut e.stats.idle_cycles, slice_end);
-                    return;
-                }
-            }
-        };
-        e.current = ti;
-        let block = &prog.blocks[e.ctxs[ti].block.index()];
+impl Port for Queue {
+    const IDLE_STOPS_AT_END: bool = true;
 
-        if e.ctxs[ti].pc < block.instrs.len() {
-            let ins = &block.instrs[e.ctxs[ti].pc];
-            e.stats.instructions += 1;
-            e.cycle += issue_cycles(ins);
-            let cycle = e.cycle;
-            let global_ctx = (e.id * e.ctxs.len() + ti) as u32;
-            let t = &mut e.ctxs[ti];
-            match ins {
-                Instr::Alu { op, dst, a, b } => {
-                    let av = t.regs.read(*a);
-                    let bv = match b {
-                        AluSrc::Reg(r) => t.regs.read(*r),
-                        AluSrc::Imm(v) => *v,
-                    };
-                    t.regs.write(*dst, op.eval(av, bv));
-                }
-                Instr::Imm { dst, val } => t.regs.write(*dst, *val),
-                Instr::Move { dst, src } => {
-                    let v = t.regs.read(*src);
-                    t.regs.write(*dst, v);
-                }
-                Instr::Clone { .. } => {
-                    // Validated programs never contain clones; treat as nop.
-                }
-                Instr::MemRead { space, addr, dst } => {
-                    let base = resolve_addr(&t.regs, addr);
-                    t.state = ThreadState::Pending;
-                    t.pc += 1;
-                    e.stats.swap_outs += 1;
-                    let (space, dst) = (*space, dst.clone());
-                    e.push(cycle, ti, ReqKind::Read { space, base, dst });
-                    continue;
-                }
-                Instr::MemWrite { space, addr, src } => {
-                    let base = resolve_addr(&t.regs, addr);
-                    let vals: Vec<u32> = src.iter().map(|s| t.regs.read(*s)).collect();
-                    // Posted through the store buffer: the context keeps
-                    // running; the bus occupancy is charged at the barrier.
-                    let space = *space;
-                    t.pc += 1;
-                    e.push(cycle, ti, ReqKind::Write { space, base, vals });
-                    continue;
-                }
-                Instr::Hash { dst, src } => {
-                    let v = hash_unit(t.regs.read(PhysReg::new(Bank::S, src.num)));
-                    let _ = src;
-                    t.regs.write(*dst, v);
-                    t.state = ThreadState::Blocked(cycle + HASH_CYCLES);
-                    e.stats.swap_outs += 1;
-                    t.pc += 1;
-                    continue;
-                }
-                Instr::TestAndSet { dst, src, addr } => {
-                    let a = resolve_addr(&t.regs, addr);
-                    let v = t.regs.read(*src);
-                    t.state = ThreadState::Pending;
-                    t.pc += 1;
-                    e.stats.swap_outs += 1;
-                    let dst = *dst;
-                    e.push(
-                        cycle,
-                        ti,
-                        ReqKind::TestAndSet {
-                            addr: a,
-                            val: v,
-                            dst,
-                        },
-                    );
-                    continue;
-                }
-                Instr::CsrRead { dst, csr } => {
-                    if *csr == ixp_machine::CSR_CTX {
-                        // The context-number CSR is engine-local state:
-                        // it resolves in the issue cycle, no barrier trip.
-                        t.regs.write(*dst, global_ctx);
-                    } else {
-                        // CSRs are chip-shared: reads resolve at the barrier.
-                        t.state = ThreadState::Pending;
-                        t.pc += 1;
-                        e.stats.swap_outs += 1;
-                        let (csr, dst) = (*csr, *dst);
-                        e.push(cycle, ti, ReqKind::CsrRead { csr, dst });
-                        continue;
-                    }
-                }
-                Instr::CsrWrite { src, csr } => {
-                    let v = t.regs.read(*src);
-                    let csr = *csr;
-                    t.pc += 1;
-                    e.push(cycle, ti, ReqKind::CsrWrite { csr, val: v });
-                    continue;
-                }
-                Instr::RxPacket { len_dst, addr_dst } => {
-                    // The receive queue is chip-shared: the scheduler
-                    // grants packets in canonical order at the barrier.
-                    t.state = ThreadState::Pending;
-                    t.pc += 1;
-                    e.stats.swap_outs += 1;
-                    let (len_dst, addr_dst) = (*len_dst, *addr_dst);
-                    e.push(cycle, ti, ReqKind::Rx { len_dst, addr_dst });
-                    continue;
-                }
-                Instr::TxPacket { addr, len } => {
-                    let a = t.regs.read(*addr);
-                    let l = t.regs.read(*len);
-                    t.state = ThreadState::Blocked(cycle + 4);
-                    t.pc += 1;
-                    e.stats.swap_outs += 1;
-                    e.stats.packets += 1;
-                    e.stats.bytes += l as u64;
-                    e.push(cycle, ti, ReqKind::Tx { addr: a, len: l });
-                    continue;
-                }
-                Instr::CtxSwap => {
-                    t.pc += 1;
-                    t.state = ThreadState::Blocked(cycle + 1);
-                    e.stats.swap_outs += 1;
-                    continue;
-                }
-            }
-            e.ctxs[ti].pc += 1;
-        } else {
-            // Terminator.
-            e.stats.instructions += 1;
-            e.cycle += 1;
-            let t = &mut e.ctxs[ti];
-            match &block.term {
-                Terminator::Halt => {
-                    t.state = ThreadState::Halted;
-                }
-                Terminator::Jump(target) => {
-                    if target.index() >= prog.blocks.len() {
-                        e.error = Some(SimError::BadTarget(*target));
-                        return;
-                    }
-                    t.block = *target;
-                    t.pc = 0;
-                    e.cycle += BRANCH_TAKEN_PENALTY;
-                }
-                Terminator::Branch {
-                    cond,
-                    a,
-                    b,
-                    if_true,
-                    if_false,
-                } => {
-                    let av = t.regs.read(*a);
-                    let bv = match b {
-                        AluSrc::Reg(r) => t.regs.read(*r),
-                        AluSrc::Imm(v) => *v,
-                    };
-                    let taken = cond.eval(av, bv);
-                    let target = if taken { *if_true } else { *if_false };
-                    if target.index() >= prog.blocks.len() {
-                        e.error = Some(SimError::BadTarget(target));
-                        return;
-                    }
-                    if taken {
-                        e.cycle += BRANCH_TAKEN_PENALTY;
-                    }
-                    t.block = target;
-                    t.pc = 0;
-                }
-            }
-        }
+    fn read(&mut self, at: Issue, ctx: &mut Ctx, space: MemSpace, base: u32, dst: &[PhysReg]) {
+        let dst = dst.to_vec();
+        self.defer(at, ctx, ReqKind::Read { space, base, dst });
+    }
+
+    fn write(&mut self, at: Issue, ctx: &mut Ctx, space: MemSpace, base: u32, src: &[PhysReg]) {
+        // Posted through the store buffer: the bus occupancy is charged
+        // at the barrier.
+        let vals = src.iter().map(|s| ctx.regs.read(*s)).collect();
+        self.push(at, ReqKind::Write { space, base, vals });
+    }
+
+    fn test_and_set(&mut self, at: Issue, ctx: &mut Ctx, addr: u32, val: u32, dst: PhysReg) {
+        self.defer(at, ctx, ReqKind::TestAndSet { addr, val, dst });
+    }
+
+    fn csr_read(&mut self, at: Issue, ctx: &mut Ctx, csr: u32, dst: PhysReg) {
+        self.defer(at, ctx, ReqKind::CsrRead { csr, dst });
+    }
+
+    fn csr_write(&mut self, at: Issue, csr: u32, val: u32) {
+        self.push(at, ReqKind::CsrWrite { csr, val });
+    }
+
+    fn rx(&mut self, at: Issue, ctx: &mut Ctx, len_dst: PhysReg, addr_dst: PhysReg) {
+        self.defer(at, ctx, ReqKind::Rx { len_dst, addr_dst });
+    }
+
+    fn tx(&mut self, at: Issue, addr: u32, len: u32) {
+        self.push(at, ReqKind::Tx { addr, len });
     }
 }
 
-/// The serial barrier phase: resolve every request emitted this slice in
-/// the canonical order against the shared memory, channels, and packet
-/// queues. Only the coordinator runs this (workers are parked at the
-/// barrier), so every engine lock is uncontended.
-fn resolve_requests(
-    engines: &[Mutex<Engine>],
-    mem: &mut SimMemory,
-    channels: &mut [Channel; 3],
-    mem_refs: &mut HashMap<MemSpace, (u64, u64)>,
-) {
+/// One micro-engine and its request queue. During a slice only its
+/// owning host worker touches it; between barriers only the arbiter does.
+struct Unit {
+    engine: Engine,
+    queue: Queue,
+}
+
+impl Unit {
+    fn new(id: usize, prog: &Program<PhysReg>, contexts: usize) -> Self {
+        Unit {
+            engine: Engine::new(id, prog.entry, contexts),
+            queue: Queue {
+                engine: id,
+                seq: 0,
+                requests: Vec::new(),
+            },
+        }
+    }
+
+    /// Execute up to `slice_end`, queueing shared-resource requests.
+    fn run_slice(&mut self, prog: &Program<PhysReg>, slice_end: u64) {
+        self.engine.run(prog, &mut self.queue, slice_end);
+    }
+}
+
+/// Resolve every request queued this slice, in the canonical order, by
+/// replaying it into the immediate port at its issue cycle. Only the
+/// coordinator runs this (workers are parked at the barrier), so every
+/// engine lock is uncontended.
+fn resolve_requests(units: &[Mutex<Unit>], shared: &mut Shared) {
     let mut all: Vec<Request> = Vec::new();
-    for e in engines.iter() {
-        all.append(&mut e.lock().unwrap().requests);
+    for u in units {
+        all.append(&mut u.lock().unwrap().queue.requests);
     }
-    all.sort_by_key(|r| (r.issue, r.engine, r.ctx, r.seq));
-    for ch in channels.iter_mut() {
+    all.sort_by_key(|r| (r.at.cycle, r.engine, r.at.ctx, r.seq));
+    for ch in shared.channels.iter_mut() {
         let depth = all
             .iter()
             .filter(|r| match &r.kind {
@@ -592,70 +393,26 @@ fn resolve_requests(
             .count();
         ch.note_queue_depth(depth);
     }
-    for req in all {
-        let mut eng_guard = engines[req.engine].lock().unwrap();
-        let eng = &mut *eng_guard;
-        match req.kind {
-            ReqKind::Read { space, base, dst } => {
-                let (_, done) = channels[Channel::index(space)].service_read(req.issue, dst.len());
-                let ctx = &mut eng.ctxs[req.ctx];
-                for (i, d) in dst.iter().enumerate() {
-                    let v = mem.read(space, base + i as u32);
-                    ctx.regs.write(*d, v);
-                }
-                ctx.state = ThreadState::Blocked(done);
-                mem_refs.entry(space).or_insert((0, 0)).0 += 1;
-            }
+    for Request {
+        at, engine, kind, ..
+    } in all
+    {
+        let mut unit = units[engine].lock().unwrap();
+        let ctx = &mut unit.engine.ctxs[at.ctx];
+        match kind {
+            ReqKind::Read { space, base, dst } => shared.read(at, ctx, space, base, &dst),
             ReqKind::Write { space, base, vals } => {
-                channels[Channel::index(space)].service_write(req.issue, vals.len());
-                for (i, v) in vals.iter().enumerate() {
-                    mem.write(space, base + i as u32, *v);
-                }
-                mem_refs.entry(space).or_insert((0, 0)).1 += 1;
+                // Posted: the issuing context never waits on the grant.
+                shared.apply_write(at.cycle, space, base, vals.into_iter());
             }
-            ReqKind::TestAndSet { addr, val, dst } => {
-                let old = mem.read(MemSpace::Sram, addr);
-                mem.write(MemSpace::Sram, addr, old | val);
-                let ctx = &mut eng.ctxs[req.ctx];
-                ctx.regs.write(dst, old);
-                ctx.state = ThreadState::Blocked(req.issue + read_latency(MemSpace::Sram));
-                let e = mem_refs.entry(MemSpace::Sram).or_insert((0, 0));
-                e.0 += 1;
-                e.1 += 1;
-            }
+            ReqKind::TestAndSet { addr, val, dst } => shared.test_and_set(at, ctx, addr, val, dst),
             ReqKind::CsrRead { csr, dst } => {
-                let v = *mem.csr.get(&csr).unwrap_or(&0);
-                let ctx = &mut eng.ctxs[req.ctx];
-                ctx.regs.write(dst, v);
-                ctx.state = ThreadState::Blocked(req.issue);
+                shared.csr_read(at, ctx, csr, dst);
+                ctx.state = ThreadState::Blocked(at.cycle);
             }
-            ReqKind::CsrWrite { csr, val } => {
-                mem.csr.insert(csr, val);
-            }
-            ReqKind::Rx { len_dst, addr_dst } => {
-                let ctx = &mut eng.ctxs[req.ctx];
-                match mem.rx_grant(req.issue) {
-                    RxGrant::Packet { len, addr } => {
-                        ctx.regs.write(len_dst, len);
-                        ctx.regs.write(addr_dst, addr);
-                        ctx.state = ThreadState::Blocked(req.issue + 4);
-                    }
-                    RxGrant::WaitUntil(arrival) => {
-                        // Timed traffic and nothing has arrived yet: the
-                        // context re-executes the rx instruction once the
-                        // next scheduled packet lands (the retry is billed
-                        // as another issue — polling the ring isn't free).
-                        ctx.pc -= 1;
-                        ctx.state = ThreadState::Blocked(arrival);
-                    }
-                    RxGrant::Empty => {
-                        ctx.state = ThreadState::Halted;
-                    }
-                }
-            }
-            ReqKind::Tx { addr, len } => {
-                mem.tx_log.push((addr, len, req.issue));
-            }
+            ReqKind::CsrWrite { csr, val } => shared.csr_write(at, csr, val),
+            ReqKind::Rx { len_dst, addr_dst } => shared.rx(at, ctx, len_dst, addr_dst),
+            ReqKind::Tx { addr, len } => shared.tx(at, addr, len),
         }
     }
 }
@@ -679,7 +436,7 @@ fn resolve_requests(
 /// horizon, and the debug assertion below pins down that skipping past it
 /// leaves the channel's event view unchanged.
 fn next_epoch(
-    engines: &[Mutex<Engine>],
+    units: &[Mutex<Unit>],
     channels: &[Channel; 3],
     mode: SimMode,
     slice_end: u64,
@@ -691,13 +448,14 @@ fn next_epoch(
         return (slice_end, 0);
     }
     let mut earliest: Option<u64> = None;
-    for m in engines {
-        let e = m.lock().unwrap();
+    for m in units {
+        let u = m.lock().unwrap();
+        let e = &u.engine;
         if e.all_halted() {
             continue;
         }
         debug_assert!(
-            e.requests.is_empty(),
+            u.queue.requests.is_empty(),
             "barrier left unresolved requests behind"
         );
         for c in &e.ctxs {
@@ -737,13 +495,12 @@ fn next_epoch(
             );
         }
     }
-    for m in engines {
-        let mut e = m.lock().unwrap();
+    for m in units {
+        let e = &mut m.lock().unwrap().engine;
         if e.all_halted() || e.cycle >= target {
             continue;
         }
-        let Engine { cycle, stats, .. } = &mut *e;
-        advance_idle(cycle, &mut stats.idle_cycles, target);
+        advance_idle(&mut e.cycle, &mut e.stats.idle_cycles, target);
     }
     (target, target - slice_end)
 }
@@ -874,9 +631,9 @@ pub fn simulate_chip_reload_with(
 /// (physical state); in-flight requests were already resolved by the
 /// barrier that triggered the swap. Only the coordinator calls this, so
 /// the locks are uncontended.
-fn apply_swap(engines: &[Mutex<Engine>], image: &Program<PhysReg>, at: u64, stall: u64) {
-    for m in engines {
-        let mut e = m.lock().unwrap();
+fn apply_swap(units: &[Mutex<Unit>], image: &Program<PhysReg>, at: u64, stall: u64) {
+    for m in units {
+        let e = &mut m.lock().unwrap().engine;
         e.current = 0;
         // A restarted engine is no longer halted: forget any halt cycle
         // recorded before the swap so post-reload execution is counted.
@@ -925,9 +682,9 @@ struct Watchdog {
 }
 
 /// Barrier-side swap sequencing: threshold checks, checksum validation,
-/// watchdog commit/revert. Shared verbatim by the serial and pooled
-/// drivers, and only ever run by the coordinator between barriers, so
-/// every decision is bit-deterministic at any host thread count.
+/// watchdog commit/revert. Only ever run by the coordinator between
+/// barriers, so every decision is bit-deterministic at any host thread
+/// count.
 struct SwapDriver<'a> {
     swaps: &'a [ImageSwap],
     next: usize,
@@ -955,7 +712,7 @@ impl<'a> SwapDriver<'a> {
 
     fn at_barrier(
         &mut self,
-        engines: &[Mutex<Engine>],
+        units: &[Mutex<Unit>],
         images: &[&Program<PhysReg>],
         cur: &AtomicUsize,
         mem: &SimMemory,
@@ -965,12 +722,12 @@ impl<'a> SwapDriver<'a> {
             if mem.tx_log.len() > w.tx_at {
                 // The new image forwarded a packet: committed.
                 self.armed = None;
-            } else if slice_end >= w.deadline || all_halted(engines) {
+            } else if slice_end >= w.deadline || all_halted(units) {
                 // Wedged (nothing transmitted inside the window) or
                 // bricked (every context halted without transmitting):
                 // restore the previous image, paying the control-store
                 // rewrite again.
-                apply_swap(engines, images[w.restore], slice_end, w.stall);
+                apply_swap(units, images[w.restore], slice_end, w.stall);
                 cur.store(w.restore, Ordering::Release);
                 let SwapEvent::Applied { swap_cycle, .. } = self.events[w.swap] else {
                     unreachable!("watchdog armed on an unapplied swap");
@@ -996,7 +753,7 @@ impl<'a> SwapDriver<'a> {
                 }
             }
             let restore = cur.load(Ordering::Acquire);
-            apply_swap(engines, images[i + 1], slice_end, s.stall);
+            apply_swap(units, images[i + 1], slice_end, s.stall);
             cur.store(i + 1, Ordering::Release);
             self.events.push(SwapEvent::Applied {
                 swap_cycle: slice_end,
@@ -1019,6 +776,77 @@ impl<'a> SwapDriver<'a> {
     }
 }
 
+/// The serial barrier phase of the epoch loop and the state only it
+/// touches. One instance drives a whole run, whichever way the slices
+/// fan out to host threads.
+struct Arbiter<'a, 'm> {
+    cfg: &'a ChipConfig,
+    obs: &'a nova_obs::Obs,
+    units: &'a [Mutex<Unit>],
+    images: &'a [&'a Program<PhysReg>],
+    cur: &'a AtomicUsize,
+    shared: Shared<'m>,
+    sampler: Option<OccSampler>,
+    swaps: SwapDriver<'a>,
+    /// Fast-path telemetry: how often and how far the scheduler jumped
+    /// over dead epochs.
+    fp_skips: u64,
+    fp_skipped_cycles: u64,
+}
+
+impl Arbiter<'_, '_> {
+    /// Run epochs until every engine halts or the cycle budget runs out;
+    /// returns the stop reason and the last barrier cycle. `fan_out`
+    /// executes one slice, up to the given end cycle, on every engine.
+    /// Everything after it — request resolution, occupancy sampling, swap
+    /// decisions, the halt check, and the choice of the next epoch — runs
+    /// serially here, so results do not depend on how the slice fanned
+    /// out.
+    fn run_epochs(&mut self, mut fan_out: impl FnMut(u64)) -> Result<(StopReason, u64), SimError> {
+        let slice = self.cfg.slice.max(1);
+        let max_cycles = self.cfg.max_cycles;
+        let mut t: u64 = 0;
+        loop {
+            if t >= max_cycles {
+                return Ok((StopReason::CycleLimit, t));
+            }
+            let slice_end = (t + slice).min(max_cycles);
+            fan_out(slice_end);
+            if let Some(err) = first_error(self.units) {
+                return Err(err);
+            }
+            resolve_requests(self.units, &mut self.shared);
+            if let Some(s) = self.sampler.as_mut() {
+                s.maybe_sample(self.obs, slice_end, &self.shared.channels);
+            }
+            self.swaps.at_barrier(
+                self.units,
+                self.images,
+                self.cur,
+                self.shared.mem,
+                slice_end,
+            );
+            if all_halted(self.units) {
+                return Ok((StopReason::AllHalted, slice_end));
+            }
+            let (next_t, skipped) = next_epoch(
+                self.units,
+                &self.shared.channels,
+                self.cfg.mode,
+                slice_end,
+                slice,
+                max_cycles,
+                self.swaps.horizon(),
+            );
+            if skipped > 0 {
+                self.fp_skips += 1;
+                self.fp_skipped_cycles += skipped;
+            }
+            t = next_t;
+        }
+    }
+}
+
 fn simulate_chip_inner(
     prog: &Program<PhysReg>,
     swaps: &[ImageSwap],
@@ -1027,18 +855,10 @@ fn simulate_chip_inner(
     obs: &nova_obs::Obs,
 ) -> Result<(SimResult, Vec<SwapReport>), SimError> {
     let n_engines = cfg.engines.max(1);
-    let slice = cfg.slice.max(1);
     let workers = cfg.effective_host_threads().min(n_engines).max(1);
-    let engines: Vec<Mutex<Engine>> = (0..n_engines)
-        .map(|i| Mutex::new(Engine::new(i, prog, cfg.contexts)))
+    let units: Vec<Mutex<Unit>> = (0..n_engines)
+        .map(|i| Mutex::new(Unit::new(i, prog, cfg.contexts)))
         .collect();
-    let mut channels = Channel::per_space_with(cfg.faults);
-    let mut mem_refs: HashMap<MemSpace, (u64, u64)> = HashMap::new();
-    let mut sampler = obs.enabled().then(OccSampler::new);
-    // Fast-path telemetry: how often and how far the scheduler jumped
-    // over dead epochs. Only ever touched by the coordinator.
-    let mut fp_skips: u64 = 0;
-    let mut fp_skipped_cycles: u64 = 0;
     // Image rotation: `images[0]` is the boot image, `images[i + 1]` is
     // swap `i`'s. `cur` is advanced only by the coordinator between
     // barriers, so workers always read a settled value. The swap driver
@@ -1048,49 +868,27 @@ fn simulate_chip_inner(
         .chain(swaps.iter().map(|s| &s.image))
         .collect();
     let cur = AtomicUsize::new(0);
-    let mut swap_driver = SwapDriver::new(swaps);
+    let mut arb = Arbiter {
+        cfg,
+        obs,
+        units: &units,
+        images: &images,
+        cur: &cur,
+        shared: Shared::new(mem, cfg.faults),
+        sampler: obs.enabled().then(OccSampler::new),
+        swaps: SwapDriver::new(swaps),
+        fp_skips: 0,
+        fp_skipped_cycles: 0,
+    };
 
     let outcome = if workers <= 1 {
-        // Serial driver: same slice/barrier structure, no pool.
-        let mut t: u64 = 0;
-        loop {
-            if t >= cfg.max_cycles {
-                break (Ok(StopReason::CycleLimit), t);
+        // Serial driver: no pool.
+        arb.run_epochs(|end| {
+            let image = images[cur.load(Ordering::Acquire)];
+            for u in &units {
+                u.lock().unwrap().run_slice(image, end);
             }
-            let slice_end = (t + slice).min(cfg.max_cycles);
-            for e in engines.iter() {
-                run_slice(
-                    &mut e.lock().unwrap(),
-                    images[cur.load(Ordering::Acquire)],
-                    slice_end,
-                );
-            }
-            if let Some(err) = first_error(&engines) {
-                break (Err(err), slice_end);
-            }
-            resolve_requests(&engines, mem, &mut channels, &mut mem_refs);
-            if let Some(s) = sampler.as_mut() {
-                s.maybe_sample(obs, slice_end, &channels);
-            }
-            swap_driver.at_barrier(&engines, &images, &cur, mem, slice_end);
-            if all_halted(&engines) {
-                break (Ok(StopReason::AllHalted), slice_end);
-            }
-            let (next_t, skipped) = next_epoch(
-                &engines,
-                &channels,
-                cfg.mode,
-                slice_end,
-                slice,
-                cfg.max_cycles,
-                swap_driver.horizon(),
-            );
-            if skipped > 0 {
-                fp_skips += 1;
-                fp_skipped_cycles += skipped;
-            }
-            t = next_t;
-        }
+        })
     } else {
         // Persistent work-sharing pool (the style of `ilp`'s parallel
         // tree search): W workers park at a barrier; each epoch the
@@ -1113,60 +911,34 @@ fn simulate_chip_inner(
                     let image = images[cur.load(Ordering::Acquire)];
                     loop {
                         let i = next.fetch_add(1, Ordering::AcqRel);
-                        if i >= engines.len() {
+                        if i >= units.len() {
                             break;
                         }
-                        run_slice(&mut engines[i].lock().unwrap(), image, end);
+                        units[i].lock().unwrap().run_slice(image, end);
                     }
                     barrier.wait();
                 });
             }
-            let mut t: u64 = 0;
-            let outcome = loop {
-                if t >= cfg.max_cycles {
-                    break (Ok(StopReason::CycleLimit), t);
-                }
-                let slice_end = (t + slice).min(cfg.max_cycles);
+            let outcome = arb.run_epochs(|end| {
                 next.store(0, Ordering::Release);
-                slice_end_shared.store(slice_end, Ordering::Release);
+                slice_end_shared.store(end, Ordering::Release);
                 barrier.wait(); // workers execute the slice
                 barrier.wait(); // slice complete; coordinator owns the state
-                if let Some(err) = first_error(&engines) {
-                    break (Err(err), slice_end);
-                }
-                resolve_requests(&engines, mem, &mut channels, &mut mem_refs);
-                if let Some(s) = sampler.as_mut() {
-                    s.maybe_sample(obs, slice_end, &channels);
-                }
-                swap_driver.at_barrier(&engines, &images, &cur, mem, slice_end);
-                if all_halted(&engines) {
-                    break (Ok(StopReason::AllHalted), slice_end);
-                }
-                let (next_t, skipped) = next_epoch(
-                    &engines,
-                    &channels,
-                    cfg.mode,
-                    slice_end,
-                    slice,
-                    cfg.max_cycles,
-                    swap_driver.horizon(),
-                );
-                if skipped > 0 {
-                    fp_skips += 1;
-                    fp_skipped_cycles += skipped;
-                }
-                t = next_t;
-            };
+            });
             done.store(true, Ordering::Release);
             barrier.wait(); // release workers into the exit check
             outcome
         })
     };
 
-    let (stop, final_t) = match outcome {
-        (Ok(stop), t) => (stop, t),
-        (Err(e), _) => return Err(e),
-    };
+    let Arbiter {
+        shared,
+        swaps: swap_driver,
+        fp_skips,
+        fp_skipped_cycles,
+        ..
+    } = arb;
+    let (stop, final_t) = outcome?;
     if obs.enabled() {
         // How much host work the event-driven mode saved. These are the
         // only counters allowed to differ between modes (the differential
@@ -1187,27 +959,6 @@ fn simulate_chip_inner(
             obs.counter("sim.reload.reverted_swaps", reverted);
         }
     }
-    let mut engs: Vec<Engine> = engines
-        .into_iter()
-        .map(|m| m.into_inner().unwrap())
-        .collect();
-    for e in engs.iter_mut() {
-        // Engines whose last context halted at the barrier (empty receive
-        // queue) never ran again to observe it; close their books at the
-        // local cycle they stopped executing.
-        if e.all_halted() && e.stats.halt_cycle == 0 {
-            e.stats.halt_cycle = e.cycle;
-        }
-    }
-    let cycles = match stop {
-        StopReason::AllHalted => engs
-            .iter()
-            .map(|e| e.stats.halt_cycle)
-            .max()
-            .unwrap_or(final_t),
-        StopReason::CycleLimit => final_t,
-    };
-    let estats: Vec<EngineStats> = engs.into_iter().map(|e| e.stats).collect();
     let reports: Vec<SwapReport> = swaps
         .iter()
         .enumerate()
@@ -1227,7 +978,7 @@ fn simulate_chip_inner(
             Some(&SwapEvent::Applied { swap_cycle, tx_at }) => SwapReport {
                 after_packets: s.after_packets,
                 swap_cycle: Some(swap_cycle),
-                first_tx_cycle: mem.tx_log.get(tx_at).map(|&(_, _, c)| c),
+                first_tx_cycle: shared.mem.tx_log.get(tx_at).map(|&(_, _, c)| c),
                 outcome: SwapOutcome::Applied,
             },
             Some(&SwapEvent::Reverted {
@@ -1237,29 +988,45 @@ fn simulate_chip_inner(
             }) => SwapReport {
                 after_packets: s.after_packets,
                 swap_cycle: Some(swap_cycle),
-                first_tx_cycle: mem.tx_log.get(tx_at).map(|&(_, _, c)| c),
+                first_tx_cycle: shared.mem.tx_log.get(tx_at).map(|&(_, _, c)| c),
                 outcome: SwapOutcome::RevertedWatchdog { at },
             },
         })
         .collect();
-    Ok((
-        finish_result(cycles, mem_refs, stop, channels, estats),
-        reports,
-    ))
+    let mut engs: Vec<Engine> = units
+        .into_iter()
+        .map(|m| m.into_inner().unwrap().engine)
+        .collect();
+    // Engines whose last context halted at the barrier (empty receive
+    // queue) never ran again to observe it; close their books at the
+    // local cycle they stopped executing.
+    engs.iter_mut().for_each(Engine::note_halt);
+    let cycles = match stop {
+        StopReason::AllHalted => engs
+            .iter()
+            .map(|e| e.stats.halt_cycle)
+            .max()
+            .unwrap_or(final_t),
+        StopReason::CycleLimit => final_t,
+    };
+    let estats: Vec<EngineStats> = engs.into_iter().map(|e| e.stats).collect();
+    Ok((shared.finish(cycles, stop, estats), reports))
 }
 
-fn first_error(engines: &[Mutex<Engine>]) -> Option<SimError> {
-    engines.iter().find_map(|e| e.lock().unwrap().error.clone())
+fn first_error(units: &[Mutex<Unit>]) -> Option<SimError> {
+    units
+        .iter()
+        .find_map(|u| u.lock().unwrap().engine.error.clone())
 }
 
-fn all_halted(engines: &[Mutex<Engine>]) -> bool {
-    engines.iter().all(|e| e.lock().unwrap().all_halted())
+fn all_halted(units: &[Mutex<Unit>]) -> bool {
+    units.iter().all(|u| u.lock().unwrap().engine.all_halted())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ixp_machine::{Addr, Block};
+    use ixp_machine::{Addr, Bank, Block, BlockId, Instr, Terminator};
 
     fn r(bank: Bank, n: u8) -> PhysReg {
         PhysReg::new(bank, n)

@@ -1,24 +1,25 @@
-//! The micro-engine execution model.
+//! The single-engine simulator: the bit-exact oracle the compiler's
+//! output is checked against.
 //!
 //! Threads (hardware contexts) run the same program round-robin; a thread
 //! that issues a memory reference swaps out until the reference completes
 //! (plus channel contention), exactly the latency-hiding discipline the
-//! IXP1200's threading was designed for. All timing constants come from
+//! IXP1200's threading was designed for. The interpreter is
+//! [`crate::engine`]'s, driven through its immediate port: every
+//! shared-resource effect applies at its issue cycle, so a write stalls
+//! only until its channel accepts the burst, and CSR reads and packet
+//! grants resolve at once. All timing constants come from
 //! [`ixp_machine::timing`]; channel contention is charged through
 //! [`ixp_machine::channel`], the same bus model the chip-level simulator
 //! ([`crate::chip`]) arbitrates between engines.
 
-use crate::engine::{advance_idle, earliest_wake, resolve_addr, RegFile, ThreadState};
-use crate::machine::{RxGrant, SimMemory};
-use ixp_machine::channel::{Channel, ChannelFaults, ChannelStats};
-use ixp_machine::timing::{
-    issue_cycles, read_latency, BRANCH_TAKEN_PENALTY, CLOCK_HZ, HASH_CYCLES,
-};
-use ixp_machine::units::hash_unit;
-use ixp_machine::{AluSrc, Bank, BlockId, Instr, MemSpace, PhysReg, Program, Terminator};
+use crate::engine::{Engine, Shared};
+use crate::machine::SimMemory;
+use ixp_machine::channel::{ChannelFaults, ChannelStats};
+use ixp_machine::{BlockId, MemSpace, PhysReg, Program};
 use std::collections::HashMap;
 
-/// Time-advance strategy of the simulators.
+/// Time-advance strategy of the chip simulator ([`crate::ChipConfig::mode`]).
 ///
 /// Both modes are required to produce bit-identical [`SimResult`]s — the
 /// differential tests enforce it on every workload. The split exists
@@ -50,12 +51,6 @@ pub struct SimConfig {
     /// check [`SimResult::stop`] before treating the numbers as a
     /// completed run.
     pub max_cycles: u64,
-    /// Time-advance strategy. The single-engine scheduler has no
-    /// arbitration epochs — its idle-advance already jumps straight to
-    /// the earliest wake-up — so both modes execute identically here;
-    /// the knob mirrors [`crate::ChipConfig`] so one configuration can
-    /// drive either simulator.
-    pub mode: SimMode,
     /// Deterministic channel fault injection (stalls and dropped/retried
     /// references). Default: no faults.
     pub faults: ChannelFaults,
@@ -66,7 +61,6 @@ impl Default for SimConfig {
         SimConfig {
             threads: 4,
             max_cycles: 500_000_000,
-            mode: SimMode::default(),
             faults: ChannelFaults::default(),
         }
     }
@@ -164,13 +158,6 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-struct Thread {
-    regs: RegFile,
-    block: BlockId,
-    pc: usize,
-    state: ThreadState,
-}
-
 /// Run `prog` on the simulated micro-engine.
 ///
 /// # Errors
@@ -212,236 +199,19 @@ fn simulate_inner(
     mem: &mut SimMemory,
     cfg: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    let mut threads: Vec<Thread> = (0..cfg.threads.max(1))
-        .map(|_| Thread {
-            regs: RegFile::new(),
-            block: prog.entry,
-            pc: 0,
-            state: ThreadState::Ready,
-        })
-        .collect();
-    let mut channels = Channel::per_space_with(cfg.faults);
-    let mut cycle: u64 = 0;
-    let mut estats = EngineStats::new(0);
-    let mut mem_refs: HashMap<MemSpace, (u64, u64)> = HashMap::new();
-    let mut current = 0usize;
-
-    let stop = loop {
-        if cycle >= cfg.max_cycles {
-            break StopReason::CycleLimit;
-        }
-        // Pick the next runnable thread (round robin from `current`).
-        let mut picked = None;
-        for off in 0..threads.len() {
-            let i = (current + off) % threads.len();
-            match threads[i].state {
-                ThreadState::Ready => {
-                    picked = Some(i);
-                    break;
-                }
-                ThreadState::Blocked(until) if until <= cycle => {
-                    threads[i].state = ThreadState::Ready;
-                    picked = Some(i);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let Some(ti) = picked else {
-            // Everyone blocked or halted: advance to the earliest wake-up
-            // (this per-engine scheduler is already event-driven, so
-            // `SimConfig::mode` changes nothing here).
-            match earliest_wake(threads.iter().map(|t| &t.state)) {
-                Some(u) => {
-                    let target = u.max(cycle + 1);
-                    advance_idle(&mut cycle, &mut estats.idle_cycles, target);
-                    continue;
-                }
-                None => break StopReason::AllHalted,
-            }
-        };
-        current = ti;
-        let t = &mut threads[ti];
-        let block = &prog.blocks[t.block.index()];
-
-        if t.pc < block.instrs.len() {
-            let ins = &block.instrs[t.pc];
-            estats.instructions += 1;
-            cycle += issue_cycles(ins);
-            match ins {
-                Instr::Alu { op, dst, a, b } => {
-                    let av = t.regs.read(*a);
-                    let bv = match b {
-                        AluSrc::Reg(r) => t.regs.read(*r),
-                        AluSrc::Imm(v) => *v,
-                    };
-                    t.regs.write(*dst, op.eval(av, bv));
-                }
-                Instr::Imm { dst, val } => t.regs.write(*dst, *val),
-                Instr::Move { dst, src } => {
-                    let v = t.regs.read(*src);
-                    t.regs.write(*dst, v);
-                }
-                Instr::Clone { .. } => {
-                    // Validated programs never contain clones; treat as nop.
-                }
-                Instr::MemRead { space, addr, dst } => {
-                    let base = resolve_addr(&t.regs, addr);
-                    for (i, d) in dst.iter().enumerate() {
-                        let v = mem.read(*space, base + i as u32);
-                        t.regs.write(*d, v);
-                    }
-                    let e = mem_refs.entry(*space).or_insert((0, 0));
-                    e.0 += 1;
-                    let (_, done) = channels[Channel::index(*space)].service_read(cycle, dst.len());
-                    t.state = ThreadState::Blocked(done);
-                    estats.swap_outs += 1;
-                    t.pc += 1;
-                    continue;
-                }
-                Instr::MemWrite { space, addr, src } => {
-                    let base = resolve_addr(&t.regs, addr);
-                    for (i, s) in src.iter().enumerate() {
-                        let v = t.regs.read(*s);
-                        mem.write(*space, base + i as u32, v);
-                    }
-                    let e = mem_refs.entry(*space).or_insert((0, 0));
-                    e.1 += 1;
-                    // Writes retire asynchronously: the thread only pays
-                    // channel acceptance, not the full latency.
-                    let start = channels[Channel::index(*space)].service_write(cycle, src.len());
-                    if start > cycle {
-                        t.state = ThreadState::Blocked(start);
-                        estats.swap_outs += 1;
-                    }
-                }
-                Instr::Hash { dst, src } => {
-                    let v = hash_unit(t.regs.read(PhysReg::new(Bank::S, src.num)));
-                    let _ = src;
-                    t.regs.write(*dst, v);
-                    t.state = ThreadState::Blocked(cycle + HASH_CYCLES);
-                    estats.swap_outs += 1;
-                    t.pc += 1;
-                    continue;
-                }
-                Instr::TestAndSet { dst, src, addr } => {
-                    let a = resolve_addr(&t.regs, addr);
-                    let old = mem.read(MemSpace::Sram, a);
-                    let v = t.regs.read(*src);
-                    mem.write(MemSpace::Sram, a, old | v);
-                    t.regs.write(*dst, old);
-                    let e = mem_refs.entry(MemSpace::Sram).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += 1;
-                    t.state = ThreadState::Blocked(cycle + read_latency(MemSpace::Sram));
-                    estats.swap_outs += 1;
-                    t.pc += 1;
-                    continue;
-                }
-                Instr::CsrRead { dst, csr } => {
-                    // CSR_CTX is context-local (the active-context number);
-                    // everything else reads the shared CSR file.
-                    let v = if *csr == ixp_machine::CSR_CTX {
-                        ti as u32
-                    } else {
-                        *mem.csr.get(csr).unwrap_or(&0)
-                    };
-                    t.regs.write(*dst, v);
-                }
-                Instr::CsrWrite { src, csr } => {
-                    let v = t.regs.read(*src);
-                    mem.csr.insert(*csr, v);
-                }
-                Instr::RxPacket { len_dst, addr_dst } => {
-                    match mem.rx_grant(cycle) {
-                        RxGrant::Packet { len, addr } => {
-                            t.regs.write(*len_dst, len);
-                            t.regs.write(*addr_dst, addr);
-                            // Synchronizing with the receive scheduler.
-                            t.state = ThreadState::Blocked(cycle + 4);
-                            estats.swap_outs += 1;
-                            t.pc += 1;
-                            continue;
-                        }
-                        RxGrant::WaitUntil(arrival) => {
-                            // Timed traffic: the next packet is still on
-                            // the wire. Sleep until it lands and retry the
-                            // rx (the pc stays put).
-                            t.state = ThreadState::Blocked(arrival);
-                            estats.swap_outs += 1;
-                            continue;
-                        }
-                        RxGrant::Empty => {
-                            // Out of work: this context parks.
-                            t.state = ThreadState::Halted;
-                            continue;
-                        }
-                    }
-                }
-                Instr::TxPacket { addr, len } => {
-                    let a = t.regs.read(*addr);
-                    let l = t.regs.read(*len);
-                    mem.tx_log.push((a, l, cycle));
-                    estats.packets += 1;
-                    estats.bytes += l as u64;
-                    t.state = ThreadState::Blocked(cycle + 4);
-                    estats.swap_outs += 1;
-                    t.pc += 1;
-                    continue;
-                }
-                Instr::CtxSwap => {
-                    t.pc += 1;
-                    t.state = ThreadState::Blocked(cycle + 1);
-                    estats.swap_outs += 1;
-                    continue;
-                }
-            }
-            t.pc += 1;
-        } else {
-            // Terminator.
-            estats.instructions += 1;
-            cycle += 1;
-            match &block.term {
-                Terminator::Halt => {
-                    t.state = ThreadState::Halted;
-                }
-                Terminator::Jump(target) => {
-                    if target.index() >= prog.blocks.len() {
-                        return Err(SimError::BadTarget(*target));
-                    }
-                    t.block = *target;
-                    t.pc = 0;
-                    cycle += BRANCH_TAKEN_PENALTY;
-                }
-                Terminator::Branch {
-                    cond,
-                    a,
-                    b,
-                    if_true,
-                    if_false,
-                } => {
-                    let av = t.regs.read(*a);
-                    let bv = match b {
-                        AluSrc::Reg(r) => t.regs.read(*r),
-                        AluSrc::Imm(v) => *v,
-                    };
-                    let taken = cond.eval(av, bv);
-                    let target = if taken { *if_true } else { *if_false };
-                    if target.index() >= prog.blocks.len() {
-                        return Err(SimError::BadTarget(target));
-                    }
-                    if taken {
-                        cycle += BRANCH_TAKEN_PENALTY;
-                    }
-                    t.block = target;
-                    t.pc = 0;
-                }
-            }
-        }
+    let mut engine = Engine::new(0, prog.entry, cfg.threads);
+    let mut shared = Shared::new(mem, cfg.faults);
+    engine.run(prog, &mut shared, cfg.max_cycles);
+    if let Some(err) = engine.error {
+        return Err(err);
+    }
+    let stop = if engine.cycle >= cfg.max_cycles {
+        StopReason::CycleLimit
+    } else {
+        StopReason::AllHalted
     };
-
-    estats.halt_cycle = cycle;
-    Ok(finish_result(cycle, mem_refs, stop, channels, vec![estats]))
+    engine.note_halt();
+    Ok(shared.finish(engine.cycle, stop, vec![engine.stats]))
 }
 
 /// Publish a finished run's telemetry: per-channel counters
@@ -487,41 +257,11 @@ pub(crate) fn emit_result_obs(obs: &nova_obs::Obs, res: &SimResult) {
     }
 }
 
-/// Assemble a [`SimResult`] from the raw counters shared by both
-/// simulators.
-pub(crate) fn finish_result(
-    cycles: u64,
-    mem_refs: HashMap<MemSpace, (u64, u64)>,
-    stop: StopReason,
-    channels: [Channel; 3],
-    engines: Vec<EngineStats>,
-) -> SimResult {
-    let instructions = engines.iter().map(|e| e.instructions).sum();
-    let packets = engines.iter().map(|e| e.packets).sum();
-    let bytes: u64 = engines.iter().map(|e| e.bytes).sum();
-    let seconds = cycles as f64 / CLOCK_HZ as f64;
-    let mbps = if seconds > 0.0 {
-        (bytes as f64 * 8.0) / seconds / 1.0e6
-    } else {
-        0.0
-    };
-    SimResult {
-        cycles,
-        instructions,
-        mem_refs,
-        packets,
-        bytes,
-        stop,
-        mbps,
-        channels: channels.into_iter().map(|c| c.stats).collect(),
-        engines,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ixp_machine::{Addr, AluOp, Block, Cond};
+    use ixp_machine::timing::read_latency;
+    use ixp_machine::{Addr, AluOp, AluSrc, Bank, Block, Cond, Instr, Terminator};
 
     fn r(bank: Bank, n: u8) -> PhysReg {
         PhysReg::new(bank, n)

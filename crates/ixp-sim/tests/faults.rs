@@ -94,7 +94,6 @@ fn faults_slow_the_run_but_preserve_results() {
                 threads: 1,
                 max_cycles: 1 << 20,
                 faults,
-                ..SimConfig::default()
             },
         )
         .unwrap();
@@ -123,7 +122,6 @@ fn watchdog_still_fires_under_faults_with_partial_stats() {
             threads: 2,
             max_cycles: LIMIT,
             faults: FAULTS,
-            ..SimConfig::default()
         },
     )
     .unwrap();

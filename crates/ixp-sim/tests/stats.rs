@@ -67,6 +67,10 @@ fn cycle_limit_returns_partial_stats() {
     assert!(sram.busy_cycles > 0, "partial channel busy time survives");
     assert_eq!(res.engines.len(), 1);
     assert!(res.engines[0].instructions > 0);
+    assert_eq!(
+        res.engines[0].halt_cycle, 0,
+        "no context halted, so no halt cycle is stamped"
+    );
     assert_eq!(res.packets, 0, "the spin loop transmits nothing");
 
     // Doubling the budget must scale the partial work: the limit is a

@@ -79,9 +79,6 @@ pub struct SimSettings {
     /// robustness tests to confirm the watchdog still yields partial
     /// statistics under a perturbed memory system.
     pub faults: ChannelFaults,
-    /// Time-advance strategy: event-driven fast path (default) or the
-    /// cycle-slice differential oracle. Both are bit-identical.
-    pub mode: SimMode,
 }
 
 impl Default for SimSettings {
@@ -92,7 +89,6 @@ impl Default for SimSettings {
             contexts: chip.contexts,
             max_cycles: chip.max_cycles,
             faults: chip.faults,
-            mode: chip.mode,
         }
     }
 }
@@ -105,7 +101,6 @@ impl SimSettings {
             threads: self.contexts,
             max_cycles: self.max_cycles,
             faults: self.faults,
-            mode: self.mode,
         }
     }
 
@@ -116,7 +111,6 @@ impl SimSettings {
             contexts: self.contexts,
             max_cycles: self.max_cycles,
             faults: self.faults,
-            mode: self.mode,
             ..ChipConfig::default()
         }
     }
@@ -325,15 +319,6 @@ impl CompileConfigBuilder {
     #[must_use]
     pub fn channel_faults(mut self, faults: ChannelFaults) -> Self {
         self.sim.faults = faults;
-        self
-    }
-
-    /// Time-advance strategy for simulations driven from this
-    /// configuration ([`SimMode::FastPath`] is the default; the
-    /// cycle-slice oracle exists for differential testing).
-    #[must_use]
-    pub fn sim_mode(mut self, mode: SimMode) -> Self {
-        self.sim.mode = mode;
         self
     }
 

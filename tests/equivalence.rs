@@ -1,9 +1,11 @@
 //! The compiler's end-to-end correctness gate: for every program, the
-//! allocated machine code executed by the cycle simulator must produce
+//! allocated machine code executed by the cycle simulators must produce
 //! exactly the same architectural state (memories, CSRs, transmit log) as
-//! the CPS reference interpreter running the same program.
+//! the CPS reference interpreter running the same program. Both the
+//! single-engine simulator (immediate memory port) and the chip simulator
+//! (requests resolved at the arbitration barrier) are checked.
 
-use ixp_sim::{simulate, SimConfig, SimMemory};
+use ixp_sim::{simulate, simulate_chip, ChipConfig, SimConfig, SimMemory, StopReason};
 use nova::{CompileConfig, Compiler};
 use nova_cps::eval::{run, Machine};
 
@@ -23,18 +25,21 @@ fn check_equivalence(src: &str, setup: impl Fn(&mut Machine)) {
     let rx: Vec<(u32, u32)> = oracle.rx_queue.iter().copied().collect();
     run(&out.cps, &mut oracle, 50_000_000).unwrap_or_else(|e| panic!("oracle: {e}"));
 
-    // Machine code on the simulator (single-threaded so the rx/processing
-    // order matches the oracle exactly).
-    let mut sim = SimMemory::with_sizes(2048, 8192, 1024);
-    {
+    let initial = || {
         let mut m = Machine::with_sizes(2048, 8192, 1024);
         setup(&mut m);
+        let mut sim = SimMemory::with_sizes(2048, 8192, 1024);
         sim.sram = m.sram;
         sim.sdram = m.sdram;
         sim.scratch = m.scratch;
         sim.csr = m.csr;
-        sim.rx_queue = rx.into_iter().collect();
-    }
+        sim.rx_queue = rx.iter().copied().collect();
+        sim
+    };
+
+    // Machine code on the simulator (single-threaded so the rx/processing
+    // order matches the oracle exactly).
+    let mut sim = initial();
     let res = simulate(
         &out.prog,
         &mut sim,
@@ -47,7 +52,7 @@ fn check_equivalence(src: &str, setup: impl Fn(&mut Machine)) {
     .unwrap_or_else(|e| panic!("simulate: {e}"));
     assert_eq!(
         res.stop,
-        ixp_sim::StopReason::AllHalted,
+        StopReason::AllHalted,
         "simulation must run to completion"
     );
 
@@ -66,8 +71,34 @@ fn check_equivalence(src: &str, setup: impl Fn(&mut Machine)) {
         cut(&sim.scratch),
         "scratch state diverged"
     );
-    let sim_tx: Vec<(u32, u32)> = sim.tx_log.iter().map(|(a, l, _)| (*a, *l)).collect();
-    assert_eq!(oracle.tx_log, sim_tx, "tx log diverged");
+    let tx =
+        |m: &SimMemory| -> Vec<(u32, u32)> { m.tx_log.iter().map(|(a, l, _)| (*a, *l)).collect() };
+    assert_eq!(oracle.tx_log, tx(&sim), "tx log diverged");
+
+    // The same program on the chip simulator, one engine with one context,
+    // so its deferred port runs the program in the oracle's order.
+    let mut chip = initial();
+    let cfg = ChipConfig {
+        engines: 1,
+        contexts: 1,
+        max_cycles: 500_000_000,
+        ..ChipConfig::default()
+    };
+    let res = simulate_chip(&out.prog, &mut chip, &cfg).unwrap_or_else(|e| panic!("chip: {e}"));
+    assert_eq!(res.stop, StopReason::AllHalted, "chip run must complete");
+    assert_eq!(oracle.sram, chip.sram, "chip sram diverged\n{}", out.prog);
+    assert_eq!(
+        oracle.sdram, chip.sdram,
+        "chip sdram diverged\n{}",
+        out.prog
+    );
+    assert_eq!(
+        cut(&oracle.scratch),
+        cut(&chip.scratch),
+        "chip scratch diverged"
+    );
+    assert_eq!(oracle.csr, chip.csr, "chip csr state diverged");
+    assert_eq!(oracle.tx_log, tx(&chip), "chip tx log diverged");
 }
 
 #[test]
